@@ -633,17 +633,9 @@ pub struct Resilience {
     inbound: BTreeMap<Option<AppId>, TokenBucket>,
     outbound: BTreeMap<Option<AppId>, TokenBucket>,
     admits: BTreeMap<DeviceAddress, VecDeque<SimTime>>,
-    breaker_trips: u64,
-    breaker_blocked: u64,
-    breaker_probes: u64,
-    inbound_shed: u64,
-    outbound_shed: u64,
-    queue_shed: u64,
-    admitted: u64,
-    rejected_sessions: u64,
-    rejected_rate: u64,
-    inquiries_cached: u64,
-    inquiries_encoded: u64,
+    /// Monotonic per-layer counters; the breaker population and adaptation
+    /// tally are filled in by [`Resilience::stats`].
+    stats: ResilienceStats,
 }
 
 impl Resilience {
@@ -655,17 +647,7 @@ impl Resilience {
             inbound: BTreeMap::new(),
             outbound: BTreeMap::new(),
             admits: BTreeMap::new(),
-            breaker_trips: 0,
-            breaker_blocked: 0,
-            breaker_probes: 0,
-            inbound_shed: 0,
-            outbound_shed: 0,
-            queue_shed: 0,
-            admitted: 0,
-            rejected_sessions: 0,
-            rejected_rate: 0,
-            inquiries_cached: 0,
-            inquiries_encoded: 0,
+            stats: ResilienceStats::default(),
         }
     }
 
@@ -690,10 +672,10 @@ impl Resilience {
         let ok = breaker.allow(now, &self.cfg.breaker);
         if ok {
             if was_open {
-                self.breaker_probes += 1;
+                self.stats.breaker_probes += 1;
             }
         } else {
-            self.breaker_blocked += 1;
+            self.stats.breaker_blocked += 1;
         }
         ok
     }
@@ -719,7 +701,7 @@ impl Resilience {
             .or_default()
             .record_failure(now, &self.cfg.breaker)
         {
-            self.breaker_trips += 1;
+            self.stats.breaker_trips += 1;
         }
     }
 
@@ -734,7 +716,7 @@ impl Resilience {
             .or_default()
             .record_break(now, &self.cfg.breaker)
         {
-            self.breaker_trips += 1;
+            self.stats.breaker_trips += 1;
         }
     }
 
@@ -763,7 +745,7 @@ impl Resilience {
         });
         let ok = bucket.try_take(now);
         if !ok {
-            self.outbound_shed += 1;
+            self.stats.outbound_shed += 1;
         }
         ok
     }
@@ -783,7 +765,7 @@ impl Resilience {
         });
         let ok = bucket.try_take(now);
         if !ok {
-            self.inbound_shed += 1;
+            self.stats.inbound_shed += 1;
         }
         ok
     }
@@ -798,7 +780,7 @@ impl Resilience {
 
     /// Counts one result shed by the outbox cap.
     pub fn note_queue_shed(&mut self) {
-        self.queue_shed += 1;
+        self.stats.queue_shed += 1;
     }
 
     // ------------------------------------------------------------------
@@ -813,7 +795,7 @@ impl Resilience {
             return true;
         }
         if active_sessions >= self.cfg.admission.max_sessions {
-            self.rejected_sessions += 1;
+            self.stats.rejected_sessions += 1;
             return false;
         }
         let window = self.cfg.admission.per_peer_window;
@@ -826,11 +808,11 @@ impl Resilience {
             }
         }
         if recent.len() >= self.cfg.admission.per_peer_rate as usize {
-            self.rejected_rate += 1;
+            self.stats.rejected_rate += 1;
             return false;
         }
         recent.push_back(now);
-        self.admitted += 1;
+        self.stats.admitted += 1;
         true
     }
 
@@ -842,42 +824,25 @@ impl Resilience {
     /// encoded (pure accounting; the cache itself lives in the wire layer).
     pub fn note_inquiry_served(&mut self, cached: bool) {
         if cached {
-            self.inquiries_cached += 1;
+            self.stats.inquiries_cached += 1;
         } else {
-            self.inquiries_encoded += 1;
+            self.stats.inquiries_encoded += 1;
         }
     }
 
     /// Point-in-time snapshot of every per-layer counter.
     pub fn stats(&self) -> ResilienceStats {
+        let breakers_in = |state: BreakerState| self.breakers.values().filter(|b| b.state() == state).count();
         ResilienceStats {
-            breaker_trips: self.breaker_trips,
-            breaker_blocked: self.breaker_blocked,
-            breaker_probes: self.breaker_probes,
-            breakers_open: self
-                .breakers
-                .values()
-                .filter(|b| b.state() == BreakerState::Open)
-                .count(),
-            breakers_half_open: self
-                .breakers
-                .values()
-                .filter(|b| b.state() == BreakerState::HalfOpen)
-                .count(),
-            inbound_shed: self.inbound_shed,
-            outbound_shed: self.outbound_shed,
-            queue_shed: self.queue_shed,
+            breakers_open: breakers_in(BreakerState::Open),
+            breakers_half_open: breakers_in(BreakerState::HalfOpen),
             rate_adaptations: self
                 .inbound
                 .values()
                 .chain(self.outbound.values())
                 .map(TokenBucket::adaptations)
                 .sum(),
-            admitted: self.admitted,
-            rejected_sessions: self.rejected_sessions,
-            rejected_rate: self.rejected_rate,
-            inquiries_cached: self.inquiries_cached,
-            inquiries_encoded: self.inquiries_encoded,
+            ..self.stats.clone()
         }
     }
 }
@@ -1071,11 +1036,13 @@ mod tests {
 
     #[test]
     fn adaptation_law_tracks_demand_and_respects_the_clamp() {
-        let mut cfg = BackpressureConfig::default();
-        cfg.adapt_window = SimDuration::from_secs(1);
-        cfg.adapt_alpha_percent = 50;
-        cfg.adapt_headroom_percent = 150;
-        cfg.adapt_min_rate = 5;
+        let mut cfg = BackpressureConfig {
+            adapt_window: SimDuration::from_secs(1),
+            adapt_alpha_percent: 50,
+            adapt_headroom_percent: 150,
+            adapt_min_rate: 5,
+            ..BackpressureConfig::default()
+        };
         let mut law = AdaptiveRate::new(&cfg, 100);
         // Seeded at the ceiling: startup is never penalised.
         assert_eq!(law.effective_rate(), 100);
@@ -1099,8 +1066,10 @@ mod tests {
 
     #[test]
     fn adaptation_is_deterministic_in_the_window_count() {
-        let mut cfg = BackpressureConfig::default();
-        cfg.adapt_window = SimDuration::from_secs(1);
+        let cfg = BackpressureConfig {
+            adapt_window: SimDuration::from_secs(1),
+            ..BackpressureConfig::default()
+        };
         let mut a = AdaptiveRate::new(&cfg, 50);
         let mut b = AdaptiveRate::new(&cfg, 50);
         for _ in 0..5 {
@@ -1118,7 +1087,7 @@ mod tests {
         // learned rate converges to max(2 × 1.5, floor 5) = 5 tokens/s.
         for s in 1..40 {
             assert!(r.allow_outbound(app, t(s)));
-            assert!(r.allow_outbound(app, SimTime::ZERO + SimDuration::from_millis(s as u64 * 1000 + 500)));
+            assert!(r.allow_outbound(app, SimTime::ZERO + SimDuration::from_millis(s * 1000 + 500)));
         }
         assert!(r.stats().rate_adaptations > 0);
         // Now the app goes hostile and blasts a burst: the static config

@@ -6,7 +6,7 @@
 //! (property-tested below), and decoding is defensive: truncated or corrupt
 //! buffers produce a [`WireError`] instead of a panic.
 //!
-//! Encoded frames travel as shared [`Frame`]s (`Rc<[u8]>`-backed, re-exported
+//! Encoded frames travel as shared [`Frame`]s (`Arc<[u8]>`-backed, re-exported
 //! from [`simnet::Payload`]): [`encode_frame`] writes the bytes into a
 //! caller-owned reusable scratch buffer — so a node's steady-state encode
 //! path stops allocating — and hands back a frame whose clones are free.

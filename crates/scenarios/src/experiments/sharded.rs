@@ -228,7 +228,7 @@ impl ShardAgent for ShardCityAgent {
         self.connecting = false;
         self.handover_from = None;
     }
-    fn on_message(&mut self, _ctx: &mut ShardCtx<'_>, _link: LinkId, _from: NodeId, payload: SharedPayload) {
+    fn on_message(&mut self, _ctx: &mut ShardCtx<'_>, _link: LinkId, _from: NodeId, payload: Payload) {
         if payload.as_slice() == b"city-ping" {
             self.pings_received += 1;
         }

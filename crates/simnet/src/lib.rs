@@ -111,7 +111,10 @@ pub mod prelude {
         AttemptId, ConnectError, DisconnectReason, IncomingConnection, InquiryHit, LinkId, NodeAgent, NodeId,
         TimerToken,
     };
-    pub use crate::payload::{Payload, SharedPayload};
+    pub use crate::payload::Payload;
+    /// Another name for [`Payload`], which both engines carry; kept for
+    /// code that names the sharded engine's payload this way.
+    pub type SharedPayload = Payload;
     pub use crate::radio::{RadioEnvironment, RadioProfile, RadioTech, QUALITY_LOW_THRESHOLD, QUALITY_MAX};
     pub use crate::rng::SimRng;
     pub use crate::telemetry::{Frame, FrameSink, Phase, Profiler, Telemetry, TelemetryConfig};

@@ -16,41 +16,18 @@
 //!   other holders of the original are never affected,
 //! * clones are `O(1)`; the backing allocation is freed when the last clone
 //!   drops,
-//! * `Payload` is deliberately **not** `Send`/`Sync`: the sequential world
-//!   is single-threaded and the cheaper non-atomic `Rc` counter is the
-//!   point. Buffers that must cross a shard (thread) boundary use
-//!   [`SharedPayload`], the `Arc<[u8]>` sibling; converting a
-//!   `SharedPayload` into a `Payload` is `O(1)` (the `Payload` then carries
-//!   the `Arc` internally), while `Payload::to_shared` copies unless the
-//!   payload was already `Arc`-backed.
+//! * a `Payload` is an `Arc<[u8]>`, so it is `Send + Sync`: the sequential
+//!   world and the sharded world carry the same type, and a buffer crosses
+//!   a shard (thread) boundary without a copy.
 
 use std::fmt;
 use std::ops::Deref;
-use std::rc::Rc;
 use std::sync::Arc;
 
-/// The backing allocation of a [`Payload`]: node-local buffers stay on the
-/// cheap non-atomic `Rc`; buffers that arrived from another shard keep
-/// their `Arc` so the conversion is free in both directions.
-#[derive(Clone)]
-enum Repr {
-    Local(Rc<[u8]>),
-    Shared(Arc<[u8]>),
-}
-
-impl Repr {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Repr::Local(rc) => rc,
-            Repr::Shared(arc) => arc,
-        }
-    }
-}
-
 /// An immutable, cheaply clonable byte buffer (see the module docs).
-#[derive(Clone)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Payload {
-    bytes: Repr,
+    bytes: Arc<[u8]>,
 }
 
 impl Payload {
@@ -63,79 +40,54 @@ impl Payload {
     /// every clone is free).
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
         Payload {
-            bytes: Repr::Local(Rc::from(bytes)),
+            bytes: Arc::from(bytes),
         }
     }
 
     /// Number of bytes.
     pub fn len(&self) -> usize {
-        self.bytes.as_slice().len()
+        self.bytes.len()
     }
 
     /// True when the payload holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.bytes.as_slice().is_empty()
+        self.bytes.is_empty()
     }
 
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        self.bytes.as_slice()
+        &self.bytes
     }
 
     /// Copies the bytes into an owned `Vec` — the copy-on-write escape
     /// hatch: mutate the vector, then convert it back into a fresh
     /// `Payload`. Other clones of `self` keep the original bytes.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.bytes.as_slice().to_vec()
-    }
-
-    /// Converts into a [`SharedPayload`] that can cross thread (shard)
-    /// boundaries. `O(1)` when this payload already came from a
-    /// `SharedPayload`; otherwise the bytes are copied once into an `Arc`.
-    pub fn to_shared(&self) -> SharedPayload {
-        match &self.bytes {
-            Repr::Local(rc) => SharedPayload {
-                bytes: Arc::from(&rc[..]),
-            },
-            Repr::Shared(arc) => SharedPayload { bytes: Arc::clone(arc) },
-        }
+        self.bytes.to_vec()
     }
 
     /// Number of live clones sharing this allocation (diagnostic for tests).
     pub fn ref_count(&self) -> usize {
-        match &self.bytes {
-            Repr::Local(rc) => Rc::strong_count(rc),
-            Repr::Shared(arc) => Arc::strong_count(arc),
-        }
-    }
-}
-
-impl Default for Payload {
-    fn default() -> Self {
-        Payload {
-            bytes: Repr::Local(Rc::from(&[][..])),
-        }
+        Arc::strong_count(&self.bytes)
     }
 }
 
 impl Deref for Payload {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.bytes.as_slice()
+        &self.bytes
     }
 }
 
 impl AsRef<[u8]> for Payload {
     fn as_ref(&self) -> &[u8] {
-        self.bytes.as_slice()
+        &self.bytes
     }
 }
 
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Self {
-        Payload {
-            bytes: Repr::Local(Rc::from(v)),
-        }
+        Payload { bytes: Arc::from(v) }
     }
 }
 
@@ -148,36 +100,6 @@ impl From<&[u8]> for Payload {
 impl<const N: usize> From<&[u8; N]> for Payload {
     fn from(v: &[u8; N]) -> Self {
         Payload::copy_from_slice(v)
-    }
-}
-
-impl From<SharedPayload> for Payload {
-    fn from(shared: SharedPayload) -> Self {
-        Payload {
-            bytes: Repr::Shared(shared.bytes),
-        }
-    }
-}
-
-impl From<&SharedPayload> for Payload {
-    fn from(shared: &SharedPayload) -> Self {
-        Payload {
-            bytes: Repr::Shared(Arc::clone(&shared.bytes)),
-        }
-    }
-}
-
-impl PartialEq for Payload {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Payload {}
-
-impl std::hash::Hash for Payload {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
     }
 }
 
@@ -199,113 +121,11 @@ impl fmt::Debug for Payload {
     }
 }
 
-/// The `Send + Sync` sibling of [`Payload`]: an immutable `Arc<[u8]>` buffer
-/// for bytes that cross shard (thread) boundaries in the sharded world.
-///
-/// Same sharing semantics as `Payload` — clones are reference-count bumps,
-/// the buffer is immutable, copy-on-write goes through [`SharedPayload::to_vec`].
-/// Converting to a `Payload` is always `O(1)`; see [`Payload::to_shared`]
-/// for the other direction.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct SharedPayload {
-    bytes: Arc<[u8]>,
-}
-
-impl SharedPayload {
-    /// An empty payload.
-    pub fn new() -> Self {
-        SharedPayload::default()
-    }
-
-    /// Builds a shared payload by copying the given bytes.
-    pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        SharedPayload {
-            bytes: Arc::from(bytes),
-        }
-    }
-
-    /// Number of bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// True when the payload holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// The bytes as a slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Copies the bytes into an owned `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.bytes.to_vec()
-    }
-
-    /// Number of live clones sharing this allocation (diagnostic for tests).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.bytes)
-    }
-}
-
-impl Default for SharedPayload {
-    fn default() -> Self {
-        SharedPayload {
-            bytes: Arc::from(&[][..]),
-        }
-    }
-}
-
-impl Deref for SharedPayload {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl AsRef<[u8]> for SharedPayload {
-    fn as_ref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl From<Vec<u8>> for SharedPayload {
-    fn from(v: Vec<u8>) -> Self {
-        SharedPayload { bytes: Arc::from(v) }
-    }
-}
-
-impl From<&[u8]> for SharedPayload {
-    fn from(v: &[u8]) -> Self {
-        SharedPayload::copy_from_slice(v)
-    }
-}
-
-impl<const N: usize> From<&[u8; N]> for SharedPayload {
-    fn from(v: &[u8; N]) -> Self {
-        SharedPayload::copy_from_slice(v)
-    }
-}
-
-impl PartialEq<[u8]> for SharedPayload {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for SharedPayload {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl fmt::Debug for SharedPayload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SharedPayload({} bytes)", self.bytes.len())
-    }
-}
+// Both engines carry the same buffer, so it must cross worker threads.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Payload>();
+};
 
 #[cfg(test)]
 mod tests {
@@ -349,28 +169,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_payload_crosses_threads_and_converts_for_free() {
-        let shared = SharedPayload::from(vec![7u8; 32]);
-        let clone = shared.clone();
-        let joined = std::thread::spawn(move || {
+    fn payload_crosses_threads_sharing_one_allocation() {
+        let p = Payload::from(vec![7u8; 32]);
+        let clone = p.clone();
+        let back = std::thread::spawn(move || {
             assert_eq!(clone.len(), 32);
             clone
         })
         .join()
         .unwrap();
-        // Arc-backed Payload: the conversion must not copy — both sides see
-        // the same allocation, so the strong count covers all of them.
-        let local: Payload = joined.into();
-        assert_eq!(local.ref_count(), 2, "shared + local view of one Arc");
-        assert_eq!(local.as_slice(), &[7u8; 32][..]);
-        // Round-trip back out of an Arc-backed payload is free as well.
-        let back = local.to_shared();
-        assert_eq!(back.ref_count(), 3);
-        // An Rc-backed payload has to copy to become shareable.
-        let rc_backed = Payload::from(vec![1u8, 2]);
-        let copied = rc_backed.to_shared();
-        assert_eq!(copied.ref_count(), 1);
-        assert_eq!(copied.as_slice(), &[1, 2]);
-        assert_eq!(format!("{copied:?}"), "SharedPayload(2 bytes)");
+        assert_eq!(back.ref_count(), 2, "the moved clone and the original share one buffer");
+        assert_eq!(back.as_slice(), p.as_slice());
     }
 }

@@ -42,7 +42,7 @@ use crate::event::Scheduler;
 use crate::faults::{FaultAction, FaultEngine, FaultPlan, FaultStats, LifecycleEvent, LifecycleKind};
 use crate::geometry::{Point, Rect};
 use crate::link::{InFlightMessage, LinkInfo, PendingAttempt, QualityOverride};
-use crate::metrics::Metrics;
+use crate::metrics::{Counters, Metrics};
 use crate::mobility::MobilityModel;
 use crate::node::{AttemptId, LinkId, NodeAgent, NodeId, TimerToken};
 use crate::payload::Payload;
@@ -839,22 +839,7 @@ impl World {
             .collect();
         let now = self.now;
         let tel = self.telemetry.as_mut().expect("checked above");
-        tel.set_gauge("world", "nodes_alive", None, alive);
-        tel.set_gauge("world", "links_open", None, open_links);
-        tel.set_counter("world", "inquiries_started", None, global.inquiries_started);
-        tel.set_counter("world", "inquiry_hits", None, global.inquiry_hits);
-        tel.set_counter("world", "connect_attempts", None, global.connect_attempts);
-        tel.set_counter("world", "connects_established", None, global.connects_established);
-        tel.set_counter("world", "connect_failures", None, global.connect_failures);
-        tel.set_counter("world", "messages_sent", None, global.messages_sent);
-        tel.set_counter("world", "messages_delivered", None, global.messages_delivered);
-        tel.set_counter("world", "messages_lost", None, global.messages_lost);
-        tel.set_counter("world", "bytes_sent", None, global.bytes_sent);
-        tel.set_counter("world", "links_broken", None, global.links_broken);
-        tel.set_gauge("world", "delivery_rate", None, global.delivery_rate());
-        tel.set_counter("faults", "node_crashes", None, fault_stats.crashes);
-        tel.set_counter("faults", "node_restarts", None, fault_stats.restarts);
-        tel.set_counter("faults", "radio_outages", None, fault_stats.radio_outages);
+        export_world_counters(tel, alive, open_links, &global, &fault_stats);
         if self.adversary.installed() {
             // Only adversarial worlds carry the series: plan-free runs keep
             // their telemetry streams (and digests) untouched.
@@ -877,6 +862,35 @@ impl World {
         }
         tel.sample(now);
     }
+}
+
+/// Writes the engine-independent world series (node/link population, the
+/// global [`Counters`] and the [`FaultStats`] tallies) into one telemetry
+/// sample. Both engines call it, so their streams name and order these
+/// series identically.
+pub(crate) fn export_world_counters(
+    tel: &mut Telemetry,
+    alive: f64,
+    open_links: f64,
+    global: &Counters,
+    faults: &FaultStats,
+) {
+    tel.set_gauge("world", "nodes_alive", None, alive);
+    tel.set_gauge("world", "links_open", None, open_links);
+    tel.set_counter("world", "inquiries_started", None, global.inquiries_started);
+    tel.set_counter("world", "inquiry_hits", None, global.inquiry_hits);
+    tel.set_counter("world", "connect_attempts", None, global.connect_attempts);
+    tel.set_counter("world", "connects_established", None, global.connects_established);
+    tel.set_counter("world", "connect_failures", None, global.connect_failures);
+    tel.set_counter("world", "messages_sent", None, global.messages_sent);
+    tel.set_counter("world", "messages_delivered", None, global.messages_delivered);
+    tel.set_counter("world", "messages_lost", None, global.messages_lost);
+    tel.set_counter("world", "bytes_sent", None, global.bytes_sent);
+    tel.set_counter("world", "links_broken", None, global.links_broken);
+    tel.set_gauge("world", "delivery_rate", None, global.delivery_rate());
+    tel.set_counter("faults", "node_crashes", None, faults.crashes);
+    tel.set_counter("faults", "node_restarts", None, faults.restarts);
+    tel.set_counter("faults", "radio_outages", None, faults.radio_outages);
 }
 
 /// The profiling phase an event's handling is attributed to.

@@ -55,7 +55,7 @@ use crate::mobility::{MobilityModel, MotionPlan};
 use crate::node::{
     AttemptId, ConnectError, DisconnectReason, IncomingConnection, InquiryHit, LinkId, NodeId, TimerToken,
 };
-use crate::payload::SharedPayload;
+use crate::payload::Payload;
 use crate::radio::{RadioEnvironment, RadioTech};
 use crate::rng::SimRng;
 use crate::telemetry::{Histogram, Phase, Profiler, Telemetry, TelemetryConfig, PAYLOAD_SIZE_BOUNDS};
@@ -63,7 +63,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::world::partition::{
     imbalance, AdaptiveShards, DensityHistogram, HysteresisController, PartitionMap, PartitionStats,
 };
-use crate::world::SendError;
+use crate::world::{export_world_counters, SendError};
 
 /// Same per-node RNG label scheme as `World::add_node`, so a node's stream
 /// depends only on the world seed and its id — never on shard layout.
@@ -166,8 +166,8 @@ impl ShardedConfig {
 /// The mirror of [`NodeAgent`](crate::node::NodeAgent) with two deliberate
 /// differences: the context is a [`ShardCtx`] (the windowed API), and the
 /// trait requires `Send` because agents execute on worker threads. Payloads
-/// arrive as [`SharedPayload`] — the `Arc`-backed buffer that crosses shard
-/// boundaries without copying.
+/// arrive as the same [`Payload`] the sequential world carries — an
+/// `Arc`-backed buffer that crosses shard boundaries without copying.
 #[allow(unused_variables)]
 pub trait ShardAgent: Any + Send {
     /// Upcast for dynamic inspection (post-run assertions).
@@ -209,7 +209,7 @@ pub trait ShardAgent: Any + Send {
     ) {
     }
     /// A message arrived on an established link.
-    fn on_message(&mut self, ctx: &mut ShardCtx<'_>, link: LinkId, from: NodeId, payload: SharedPayload) {}
+    fn on_message(&mut self, ctx: &mut ShardCtx<'_>, link: LinkId, from: NodeId, payload: Payload) {}
     /// An established link went away.
     fn on_disconnected(&mut self, ctx: &mut ShardCtx<'_>, link: LinkId, peer: NodeId, reason: DisconnectReason) {}
 }
@@ -300,7 +300,7 @@ enum MsgBody {
     },
     Data {
         link: LinkId,
-        payload: SharedPayload,
+        payload: Payload,
     },
     /// Graceful close by the peer; ordered after all of its in-flight data.
     Closed {
@@ -1188,7 +1188,7 @@ impl ShardCtx<'_> {
 
     /// Sends `payload` on an established link. Delivery happens at
     /// `max(now + transmission delay, next window barrier)`.
-    pub fn send(&mut self, link: LinkId, payload: impl Into<SharedPayload>) -> Result<(), SendError> {
+    pub fn send(&mut self, link: LinkId, payload: impl Into<Payload>) -> Result<(), SendError> {
         let Some(half) = self.node.links.get(&link).copied() else {
             return Err(SendError::UnknownLink);
         };
@@ -1664,22 +1664,7 @@ impl ShardedWorld {
         }
         let now = self.now;
         let tel = self.telemetry.as_mut().expect("checked above");
-        tel.set_gauge("world", "nodes_alive", None, alive as f64);
-        tel.set_gauge("world", "links_open", None, open_halves as f64 / 2.0);
-        tel.set_counter("world", "inquiries_started", None, global.inquiries_started);
-        tel.set_counter("world", "inquiry_hits", None, global.inquiry_hits);
-        tel.set_counter("world", "connect_attempts", None, global.connect_attempts);
-        tel.set_counter("world", "connects_established", None, global.connects_established);
-        tel.set_counter("world", "connect_failures", None, global.connect_failures);
-        tel.set_counter("world", "messages_sent", None, global.messages_sent);
-        tel.set_counter("world", "messages_delivered", None, global.messages_delivered);
-        tel.set_counter("world", "messages_lost", None, global.messages_lost);
-        tel.set_counter("world", "bytes_sent", None, global.bytes_sent);
-        tel.set_counter("world", "links_broken", None, global.links_broken);
-        tel.set_gauge("world", "delivery_rate", None, global.delivery_rate());
-        tel.set_counter("faults", "node_crashes", None, stats.crashes);
-        tel.set_counter("faults", "node_restarts", None, stats.restarts);
-        tel.set_counter("faults", "radio_outages", None, stats.radio_outages);
+        export_world_counters(tel, alive as f64, open_halves as f64 / 2.0, &global, &stats);
         for (idx, &(msgs, bytes)) in tech_msgs.iter().enumerate() {
             if msgs == 0 && bytes == 0 {
                 continue; // the old sparse map only carried touched techs
@@ -1888,7 +1873,7 @@ mod tests {
             self.connected += 1;
             ctx.send(link, b"ping".to_vec()).unwrap();
         }
-        fn on_message(&mut self, ctx: &mut ShardCtx<'_>, link: LinkId, _from: NodeId, payload: SharedPayload) {
+        fn on_message(&mut self, ctx: &mut ShardCtx<'_>, link: LinkId, _from: NodeId, payload: Payload) {
             self.got.push(payload.to_vec());
             if payload.as_slice() == b"ping" {
                 ctx.send(link, b"pong".to_vec()).unwrap();

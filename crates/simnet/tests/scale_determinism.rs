@@ -703,7 +703,7 @@ mod sharded {
             self.fold(0x30 + peer.as_raw());
             self.attached = false;
         }
-        fn on_message(&mut self, _ctx: &mut ShardCtx<'_>, link: LinkId, from: NodeId, payload: SharedPayload) {
+        fn on_message(&mut self, _ctx: &mut ShardCtx<'_>, link: LinkId, from: NodeId, payload: Payload) {
             self.fold(0x40 + from.as_raw());
             self.fold(link.0);
             self.fold(payload.len() as u64);

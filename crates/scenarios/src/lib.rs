@@ -7,7 +7,8 @@
 //! of Fig. 6.1 — plus the experiment runners E1–E11 that regenerate every
 //! figure-level result (see `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for the recorded outcomes), the dense-city scale family
-//! E12 and the fault & churn family E13/E14 added on top of the thesis.
+//! E12, the fault & churn family E13/E14 and the E15–E19 cities (full
+//! stack, overload, sharded, hotspot, hostile) added on top of the thesis.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

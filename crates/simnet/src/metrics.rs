@@ -1,6 +1,6 @@
 //! Simulation metrics.
 //!
-//! The experiment runners (E1–E12) summarise their results from these
+//! The experiment runners (E1–E19) summarise their results from these
 //! counters: inquiry activity, connection attempts and outcomes, traffic
 //! volume and link breakage. Counters exist per node and are also aggregated
 //! globally.

@@ -364,6 +364,10 @@ struct ShardNode {
     rng: SimRng,
     agent: Option<Box<dyn ShardAgent>>,
     queue: Scheduler<NodeEvent>,
+    /// Time of this node's one live entry in its shard's index, if any.
+    /// Whenever set it equals `queue.peek_time()`; an index entry whose time
+    /// differs is superseded and dropped on pop.
+    indexed: Option<SimTime>,
     /// Hash tables, not ordered maps: the hot path only probes by key, and
     /// every place that *iterates* (crash/outage teardown, barrier folds)
     /// either sorts into canonical id order first or folds commutatively, so
@@ -388,6 +392,19 @@ struct ShardNode {
 impl ShardNode {
     fn radio_enabled(&self, tech: RadioTech) -> bool {
         self.alive && self.techs & tech_bit(tech) != 0 && self.radio_off & tech_bit(tech) == 0
+    }
+
+    /// Claims the live index entry for the queue head: returns the head (and
+    /// records it as the stamp) when there is no live entry or the head is
+    /// earlier than it. A later event needs no entry of its own — the live
+    /// one reaches the head first and re-claims after running it.
+    fn claim_index(&mut self) -> Option<SimTime> {
+        let head = self.queue.peek_time()?;
+        if self.indexed.is_some_and(|stamp| stamp <= head) {
+            return None;
+        }
+        self.indexed = Some(head);
+        Some(head)
     }
 
     fn snapshot(&self) -> NodeSnapshot {
@@ -497,8 +514,11 @@ struct GlobalView<'a> {
 struct Shard {
     /// Dense by raw node id; `None` for nodes owned by other shards.
     nodes: Vec<Option<Box<ShardNode>>>,
-    /// Lazy index over the owned nodes' earliest pending events:
-    /// `(time, raw id)` entries, corrected on pop when stale.
+    /// The owned nodes' earliest pending events as `(time, raw id)`
+    /// entries. Each node has exactly one live entry: the one whose time
+    /// matches its `indexed` stamp. Superseded entries and those of nodes
+    /// that migrated away are dropped on pop, so the heap stays at about
+    /// one entry per owned node however much traffic the shard carries.
     index: BinaryHeap<Reverse<(SimTime, u64)>>,
     outbox: Vec<ShardMsg>,
     /// Per-technology (messages, bytes) sent by nodes while owned here,
@@ -555,27 +575,34 @@ impl Shard {
             }
             index.pop();
             let Some(node) = nodes[raw as usize].as_deref_mut() else {
-                continue; // stale entry: the node migrated away
+                continue; // the node migrated away; its live entry moved with it
             };
-            match node.queue.peek_time() {
-                None => {}
-                Some(head) if head != t => index.push(Reverse((head, raw))),
-                Some(_) => {
-                    let (at, event) = node.queue.pop().expect("peeked");
-                    node.window_events += 1;
-                    if profiler.is_enabled() {
-                        let phase = phase_of_node_event(&event);
-                        let span = profiler.begin();
-                        exec.process(node, at, event);
-                        profiler.end(phase, span);
-                    } else {
-                        exec.process(node, at, event);
-                    }
-                    if let Some(next) = node.queue.peek_time() {
-                        index.push(Reverse((next, raw)));
-                    }
-                }
+            if node.indexed != Some(t) {
+                continue; // superseded by an earlier claim
             }
+            node.indexed = None;
+            debug_assert_eq!(node.queue.peek_time(), Some(t), "live entry is not the head");
+            let (at, event) = node.queue.pop().expect("a live entry has an event");
+            node.window_events += 1;
+            if profiler.is_enabled() {
+                let phase = phase_of_node_event(&event);
+                let span = profiler.begin();
+                exec.process(node, at, event);
+                profiler.end(phase, span);
+            } else {
+                exec.process(node, at, event);
+            }
+            if let Some(next) = node.claim_index() {
+                index.push(Reverse((next, raw)));
+            }
+        }
+    }
+
+    /// Gives owned node `raw` a live index entry if its queue head needs one.
+    fn claim_index(&mut self, raw: usize) {
+        let node = self.nodes[raw].as_deref_mut().expect("owned");
+        if let Some(head) = node.claim_index() {
+            self.index.push(Reverse((head, raw as u64)));
         }
     }
 }
@@ -1503,6 +1530,7 @@ impl ShardedWorld {
             rng,
             agent: Some(agent),
             queue: Scheduler::new(),
+            indexed: None,
             links: HashMap::new(),
             pending: HashMap::new(),
             fault_actions: Vec::new(),
@@ -1519,8 +1547,8 @@ impl ShardedWorld {
         for shard in &mut self.shards {
             shard.nodes.push(None);
         }
-        self.shards[owner as usize].index.push(Reverse((self.now, raw)));
         self.shards[owner as usize].nodes[raw as usize] = Some(Box::new(node));
+        self.shards[owner as usize].claim_index(raw as usize);
         self.owner.push(owner);
         self.names.push(name.into());
         self.plans.push(plan);
@@ -1545,8 +1573,8 @@ impl ShardedWorld {
             let when = at.max(now);
             slot.fault_actions.push((when, action));
             slot.queue.schedule(when, NodeEvent::Fault { idx });
-            shard.index.push(Reverse((when, node.as_raw())));
         }
+        shard.claim_index(raw);
     }
 
     /// Rejects adversary schedules. Partition cuts and Byzantine injection
@@ -1717,11 +1745,11 @@ impl ShardedWorld {
                 let current = self.owner[raw];
                 let target = self.stripe_of(self.plans[raw].position_at(t1));
                 if target != current {
-                    let node = self.shards[current as usize].nodes[raw].take().expect("owned");
-                    if let Some(head) = node.queue.peek_time() {
-                        self.shards[target as usize].index.push(Reverse((head, raw as u64)));
-                    }
+                    let mut node = self.shards[current as usize].nodes[raw].take().expect("owned");
+                    // The old entry stays behind and is dropped there.
+                    node.indexed = None;
                     self.shards[target as usize].nodes[raw] = Some(node);
+                    self.shards[target as usize].claim_index(raw);
                     self.owner[raw] = target;
                 }
             }
@@ -1738,7 +1766,7 @@ impl ShardedWorld {
                     body: msg.body,
                 },
             );
-            self.shards[shard].index.push(Reverse((msg.at, msg.to.as_raw())));
+            self.shards[shard].claim_index(raw);
         }
         self.merge_scratch = messages;
     }
@@ -1819,6 +1847,12 @@ impl ShardedWorld {
         let slot = self.shards[shard].nodes[raw].as_deref_mut()?;
         let agent = slot.agent.as_mut()?;
         agent.as_any_mut().downcast_mut::<A>().map(f)
+    }
+
+    /// Entries across every shard's index, live or awaiting their drop.
+    #[cfg(test)]
+    fn index_entries(&self) -> usize {
+        self.shards.iter().map(|s| s.index.len()).sum()
     }
 }
 
@@ -2000,6 +2034,80 @@ mod tests {
             [NodeId::from_raw(0)],
         );
         world.install_adversary_plan(&plan);
+    }
+
+    const PING: TimerToken = TimerToken(0x9196);
+
+    /// Even nodes connect to their odd neighbour and ping it every 100 ms;
+    /// every node keeps a timer pending, so no queue ever drains.
+    #[derive(Default)]
+    struct Pinger {
+        link: Option<LinkId>,
+    }
+
+    impl ShardAgent for Pinger {
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
+            let id = ctx.node_id().as_raw();
+            if id.is_multiple_of(2) {
+                ctx.connect(NodeId::from_raw(id + 1), RadioTech::Wlan);
+            }
+            ctx.schedule(SimDuration::from_millis(100), PING);
+        }
+        fn on_timer(&mut self, ctx: &mut ShardCtx<'_>, _token: TimerToken) {
+            if let Some(link) = self.link {
+                let _ = ctx.send(link, b"ping".to_vec());
+            }
+            ctx.schedule(SimDuration::from_millis(100), PING);
+        }
+        fn on_incoming_connection(&mut self, _ctx: &mut ShardCtx<'_>, _incoming: IncomingConnection) -> bool {
+            true
+        }
+        fn on_connected(
+            &mut self,
+            _ctx: &mut ShardCtx<'_>,
+            _attempt: AttemptId,
+            link: LinkId,
+            _peer: NodeId,
+            _tech: RadioTech,
+        ) {
+            self.link = Some(link);
+        }
+    }
+
+    #[test]
+    fn shard_index_holds_one_live_entry_per_node_under_traffic() {
+        const NODES: u64 = 40;
+        let mut config = ShardedConfig::new(7, Rect::square(100.0));
+        config.shards = 2;
+        config.radio.wlan.setup_fault_prob = 0.0;
+        let mut world = ShardedWorld::new(config);
+        for i in 0..NODES {
+            // Pairs sit 2 m apart, spread across both stripes.
+            let x = 5.0 + (i / 2) as f64 * 4.5 + (i % 2) as f64 * 2.0;
+            world.add_node(
+                format!("p{i}"),
+                MobilityModel::stationary(Point::new(x, 50.0)),
+                &[RadioTech::Wlan],
+                Box::new(Pinger::default()),
+            );
+        }
+        world.run_for(SimDuration::from_secs(60));
+        let delivered = world.metrics().global().messages_delivered;
+        assert!(
+            delivered >= 10 * NODES,
+            "the city must carry traffic: {delivered} messages delivered"
+        );
+        let entries = world.index_entries() as u64;
+        assert!(
+            entries <= 2 * NODES,
+            "{entries} index entries for {NODES} nodes after {delivered} deliveries"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # sweep — the parallel experiment-campaign engine
 //!
-//! Every experiment of the reproduction (E1–E15) is runnable through the
+//! Every experiment of the reproduction (E1–E19) is runnable through the
 //! uniform [`Experiment`](scenarios::Experiment) trait; this crate turns
 //! single runs into **campaigns**: a [`SweepSpec`] describes a seed range
 //! and a parameter grid, the [executor](exec) expands it into a
